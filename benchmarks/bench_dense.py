@@ -15,14 +15,14 @@ the two-phase commit case-study coordinator.  The stream is encoded once
 *outside* the stepping timer — exactly how the online path works: the
 service encodes each arriving event once, and stepping is the per-machine
 hot loop — and the encode cost is reported separately through
-``automata.stats``.  The harness **asserts**, not just reports:
+``repro.obs`` exploration stats.  The harness **asserts**, not just reports:
 
 * dense stepping is strictly faster than the dict-of-dicts walk on every
   workload (steps/sec, best of N);
 * the dense product kernel is strictly faster than the dict-based
   product and reaches the same state count and language;
-* the encode-vs-step ratio is visible in ``automata.stats``: one encode
-  per stream event, many dense steps, never the reverse.
+* the encode-vs-step ratio is visible in the ``repro.obs`` exploration
+  stats: one encode per stream event, many dense steps, never the reverse.
 
 Runs under the pytest-benchmark harness *and* standalone::
 
@@ -40,11 +40,11 @@ import pytest
 
 from repro.automata.dfa import DFA
 from repro.automata.ops import equivalence_counterexample, intersection, minimize
-from repro.automata.stats import collect_exploration
 from repro.casestudies.twophase import TwoPhaseCast
 from repro.checker.compile import traceset_dfa
 from repro.checker.universe import FiniteUniverse
 from repro.core.composition import compose
+from repro.obs import collect_exploration
 from repro.paper.specs import PaperCast
 
 #: Event-stream length and timing repetitions (full / ``--quick``).

@@ -83,7 +83,7 @@ def _plain_loop(dfa: DFA, ids: list[int]):
 
 def _instrumented_loop(dfa: DFA, ids: list[int]):
     # Resolved once, incremented per chunk — how every hot path uses the
-    # registry (ShardPool, CheckerMetrics, the monitor sessions).
+    # registry (CheckerMetrics, the monitor sessions).
     chunks = get_registry().counter(
         "bench_obs_chunks_total", help="chunks stepped by bench_obs"
     )

@@ -32,7 +32,6 @@ import time
 import pytest
 
 from repro.automata.ops import equivalence_counterexample
-from repro.automata.stats import collect_exploration
 from repro.casestudies.twophase import TwoPhaseCast
 from repro.checker.cache import MachineCache, use_cache
 from repro.checker.compile import traceset_dfa
@@ -45,6 +44,7 @@ from repro.core.tracesets import MachineTraceSet
 from repro.core.values import ObjectId
 from repro.machines.boolean import AndMachine, TrueMachine
 from repro.machines.counting import CountingMachine, Linear, method_counter
+from repro.obs import collect_exploration
 from repro.paper.specs import PaperCast
 
 

@@ -1,10 +1,10 @@
-"""Service benchmarks: wire-protocol monitoring throughput vs shard count.
+"""Service benchmark: wire-protocol monitoring throughput.
 
 Measures end-to-end events/sec over localhost TCP: several concurrent
 sessions each stream a clean ``Write``-spec workload and synchronise with
-``STATUS`` at the end.  Shards are asyncio tasks on one loop, so the axis
-measures routing/queueing overhead and pipelining, not CPU parallelism
-(DESIGN.md §5 notes process-based workers as the next step).
+``STATUS`` at the end.  One server process steps every session inline on
+one loop; ``--procs`` (benchmarks/bench_scaleout.py) is the parallelism
+axis.
 
 Runs under the pytest-benchmark harness *and* standalone::
 
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-
-import pytest
 
 from repro.paper.specs import PaperCast
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
@@ -44,7 +42,7 @@ def _workload() -> list[str]:
     return _WORKLOAD
 
 
-async def _blast(shards: int) -> int:
+async def _blast() -> int:
     """Run the full workload against a fresh server; returns events sent."""
     registry = SpecRegistry([PaperCast().write()])
     lines = _workload()
@@ -56,44 +54,40 @@ async def _blast(shards: int) -> int:
             status = await client.status()
             assert status.ok and status.events == len(lines)
 
-    async with MonitorServer(registry, shards=shards) as server:
+    async with MonitorServer(registry) as server:
         await asyncio.gather(*(one_session(server.port) for _ in range(SESSIONS)))
         total = server.metrics.events_observed
     assert total == SESSIONS * len(lines)
     return total
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def bench_service_throughput(benchmark, shards):
+def bench_service_throughput(benchmark):
     def run():
-        return asyncio.run(_blast(shards))
+        return asyncio.run(_blast())
 
     total = benchmark(run)
     events_per_sec = total / benchmark.stats.stats.mean
-    benchmark.extra_info["shards"] = shards
     benchmark.extra_info["events_per_sec"] = round(events_per_sec)
 
 
 def main() -> None:
     from repro.workload.results import maybe_write_bench
 
-    runs = []
-    for shards in (1, 4):
-        start = time.perf_counter()
-        total = asyncio.run(_blast(shards))
-        elapsed = time.perf_counter() - start
-        print(
-            f"shards={shards}: {total} events in {elapsed:.3f}s "
-            f"→ {total / elapsed:,.0f} events/sec"
-        )
-        runs.append(
-            {
-                "label": f"shards={shards}",
-                "events": total,
-                "seconds": round(elapsed, 6),
-                "events_per_sec": round(total / elapsed, 1),
-            }
-        )
+    start = time.perf_counter()
+    total = asyncio.run(_blast())
+    elapsed = time.perf_counter() - start
+    print(
+        f"{total} events in {elapsed:.3f}s "
+        f"→ {total / elapsed:,.0f} events/sec"
+    )
+    runs = [
+        {
+            "label": "throughput",
+            "events": total,
+            "seconds": round(elapsed, 6),
+            "events_per_sec": round(total / elapsed, 1),
+        }
+    ]
     path = maybe_write_bench(
         "service_throughput",
         {"sessions": SESSIONS, "events_per_session": EVENTS_PER_SESSION},

@@ -1,7 +1,7 @@
 """Workload benchmarks: oracle-checked scenario throughput.
 
 End-to-end events/sec of `repro.workload.run_workload` — generator →
-wire protocol → sharded monitors → verdict — for each corpus scenario,
+wire protocol → session monitor → verdict — for each corpus scenario,
 fault-free vs faulted.  Every measured run also *checks* itself: the
 report must show 100% oracle agreement, so the number is meaningless
 unless the monitoring was correct.

@@ -32,7 +32,8 @@ resolves them lazily so importing a single submodule stays cheap.
 
 :data:`API_VERSION` tracks the facade's own compatibility promise
 (1.2.0 added the management surface: ``Gateway``, ``serve_http``,
-``update_from_text``, ``metrics_text``).
+``update_from_text``, ``metrics_text``).  2.0.0 is a major bump because
+``serve``/``serve_http`` dropped their in-process worker-pool keyword.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ __all__ = [
     "verify_refinement",
 ]
 
-#: The facade's compatibility version (semver).  Bumped to 1.2.0 for the
-#: management surface; see the module docstring for the 1.2 additions.
-API_VERSION = "1.2.0"
+#: The facade's compatibility version (semver); see the module docstring.
+API_VERSION = "2.0.0"
 
 
 def parse(text: str):
@@ -132,7 +132,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 7471,
-    shards: int = 4,
     metrics_port: int | None = None,
 ) -> None:
     """Run the online-monitoring TCP service over an OUN document (blocking).
@@ -148,11 +147,7 @@ def serve(
 
     async def run() -> None:
         server = MonitorServer(
-            registry,
-            shards=shards,
-            host=host,
-            port=port,
-            metrics_port=metrics_port,
+            registry, host=host, port=port, metrics_port=metrics_port
         )
         await server.start()
         try:
@@ -173,7 +168,6 @@ def serve_http(
     port: int = 0,
     http_host: str = "127.0.0.1",
     http_port: int = 8080,
-    shards: int = 4,
 ) -> None:
     """Run the TCP service *and* the HTTP/JSON gateway over it (blocking).
 
@@ -191,7 +185,7 @@ def serve_http(
     registry = SpecRegistry.from_file(document)
 
     async def run() -> None:
-        server = MonitorServer(registry, shards=shards, host=host, port=port)
+        server = MonitorServer(registry, host=host, port=port)
         await server.start()
         loop = asyncio.get_running_loop()
         # The Gateway speaks TCP to the server this loop runs, so its

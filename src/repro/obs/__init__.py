@@ -17,13 +17,11 @@ One subsystem for the system's self-knowledge, in two halves:
   ``ServiceMetrics``, the checker's ``CheckerMetrics``, the pipeline's
   ``NormalizationMetrics`` (all now in :mod:`repro.obs.metrics`, still
   instance-shaped for tests, mirroring into the registry) and the
-  ``automata.stats`` exploration counters
-  (:mod:`repro.obs.exploration`).  The registry renders Prometheus text
-  for the service's ``METRICS`` verb and ``repro serve --metrics-port``.
+  exploration counters (:mod:`repro.obs.exploration`).  The registry
+  renders Prometheus text for the service's ``METRICS`` verb and
+  ``repro serve --metrics-port``.
 
-The legacy ``repro.automata.stats`` path keeps working through a
-deprecation shim; ``repro.service.metrics`` is down to an import-time
-warning stub and disappears next release.
+Import these names from ``repro.obs``, their only home.
 """
 
 from repro.obs.export import (

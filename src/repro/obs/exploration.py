@@ -18,8 +18,7 @@ totals are also flushed into the process-wide
 counters), so exploration work shows up in the same Prometheus scrape as
 everything else.
 
-Historically ``repro.automata.stats``; that module remains as a
-deprecated re-exporting shim.
+Historically ``repro.automata.stats``, which has been removed.
 """
 
 from __future__ import annotations

@@ -126,9 +126,8 @@ class SpecMonitor:
         Events outside the specification's alphabet are skipped (the
         projection ``h/α(Γ)``); once violated, the monitor stays violated
         (safety is irremediable).  ``index`` overrides the violation's
-        recorded global position — the sharded service uses this to stamp
-        the session-global event index when a session's stream is split
-        across per-callee shard monitors.
+        recorded global position — the service passes its session-global
+        event index.
         """
         self._history.append(event)
         if index is None:

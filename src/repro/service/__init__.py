@@ -4,16 +4,16 @@ The paper's practical payoff is that prefix-closed (safety) trace sets
 are monitorable online.  This package turns the in-process
 :class:`~repro.runtime.monitor.SpecMonitor` into a server: many
 concurrent TCP sessions, each an event stream checked against a
-registered specification, with events sharded by callee so independent
-objects verify in parallel (per-object order preserved, as composition
-``Γ‖Δ`` interleaves per-object streams).
+registered specification, its events stepped through one monitor per
+session in arrival order (the projection ``h/α(Γ)``; composition
+``Γ‖Δ`` is the offline checker's job).  Parallelism comes from worker
+processes (:mod:`~repro.service.topology`).
 
 Modules:
 
 * :mod:`~repro.service.protocol` — the newline-delimited wire protocol;
 * :mod:`~repro.service.registry` — compile specs once, share machines;
-* :mod:`~repro.service.shards`   — per-callee FIFO worker pool;
-* :mod:`~repro.service.durability` — per-shard event log + snapshots;
+* :mod:`~repro.service.durability` — per-worker event log + snapshots;
 * :mod:`~repro.service.topology` — multi-process serving (scale-out);
 * :mod:`~repro.service.server`   — the asyncio TCP server;
 * :mod:`~repro.service.client`   — retrying, backpressured client.
@@ -33,7 +33,6 @@ from repro.service.protocol import (
 )
 from repro.service.registry import CompiledSpec, SpecRegistry, UpdateReport
 from repro.service.server import MonitorServer
-from repro.service.shards import ShardPool, shard_index
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -48,11 +47,9 @@ __all__ = [
     "ServiceUnavailable",
     "SessionStatus",
     "SpecRegistry",
-    "ShardPool",
     "UpdateReport",
     "backoff_delays",
     "format_status",
     "parse_command",
     "parse_reply",
-    "shard_index",
 ]

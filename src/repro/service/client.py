@@ -2,7 +2,8 @@
 
 The client mirrors the protocol's asymmetry: events are *enqueued* into a
 bounded send queue (``await send_event`` blocks when the queue is full —
-backpressure propagates from the server's shard queues to the producer),
+backpressure propagates from the server, through TCP flow control, to the
+producer),
 while synchronising verbs (``HELLO``/``SPEC``/``STATUS``/``RESET``/``BYE``)
 first drain the queue, then perform one request/reply round-trip.
 
@@ -32,7 +33,10 @@ synchronising verb transparently reconnects, re-attaches the same spec,
 and resends exactly the suffix the server had not yet logged — the
 watermark makes at-least-once delivery exactly-once.  Servers without a
 data directory (or predating the feature) simply never confirm, and the
-client behaves as a plain session.
+client behaves as a plain session.  A server that cannot recover the key
+answers ``ERR``, and :meth:`MonitorClient.connect` raises
+:class:`~repro.core.errors.ReproError` rather than continue without
+exactly-once delivery.
 
 A client instance is designed to be driven from one task; it is not a
 connection pool.
@@ -80,6 +84,19 @@ _REPLY_KEYWORDS = {
 
 class ServiceUnavailable(ReproError):
     """Raised when the server cannot be reached after all retries."""
+
+
+def _rejects_hello_argument(detail: str) -> bool:
+    """Whether an ``ERR`` detail is an older server refusing a HELLO field.
+
+    Servers from before durable sessions parse the argument with
+    ``protocol.parse_hello_proto`` and answer ``session=`` with
+    ``malformed HELLO argument …`` or, behind ``proto=N``, ``malformed
+    HELLO proto …``; servers from before negotiation answer any argument
+    with ``HELLO takes no argument``.  Only these replies license the
+    next, plainer HELLO.
+    """
+    return detail.startswith(("malformed HELLO", "HELLO takes no argument"))
 
 
 def backoff_delays(
@@ -210,7 +227,9 @@ class MonitorClient:
         # Fallback ladder for older servers, which reject unknown HELLO
         # arguments with a clean ERR: first the full form, then (when a
         # session key was the novelty) proto-only, then the bare HELLO
-        # every server has always answered.
+        # every server has always answered.  Any other ERR to a durable
+        # HELLO is a server that knows ``session=`` but could not recover
+        # the key: falling back would silently drop exactly-once.
         parts = []
         if want > 1:
             parts.append(f"proto={want}")
@@ -222,11 +241,18 @@ class MonitorClient:
         if attempts[-1] != "HELLO":
             attempts.append("HELLO")
         hello = await self._sync(attempts[0])
-        for fallback in attempts[1:]:
+        for sent, fallback in zip(attempts, attempts[1:]):
             if hello.kind == "ok":
                 break
+            if "session=" in sent and not _rejects_hello_argument(hello.detail):
+                await self.close()
+                raise ReproError(
+                    f"server could not open durable session "
+                    f"{self.session!r}: {hello.detail}"
+                )
             hello = await self._sync(fallback)
         if hello.kind != "ok":
+            await self.close()
             raise ReproError(f"server rejected HELLO: {hello.detail}")
         # agreed = min(requested, server max); the min() here is only a
         # guard against a server granting more than we asked for.

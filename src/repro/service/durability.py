@@ -1,10 +1,10 @@
-"""Durable monitor state: per-shard event logs + session snapshots.
+"""Durable monitor state: per-worker event logs + session snapshots.
 
 The service's exactly-once story (DESIGN.md §15, docs/operations.md) in
 one page.  A *durable* session — one that said ``HELLO session=<key>``
 against a server started with a data directory — has every event input
-appended to an on-disk log **before** it is fed to the shard pool, and
-its monitor state snapshotted periodically.  A restarted worker rebuilds
+appended to an on-disk log **before** its monitor steps it, and its
+monitor state snapshotted periodically.  A restarted worker rebuilds
 the session by loading the freshest snapshot and replaying the log
 suffix after it through the *same* stepping code the live path uses, so
 the recovered dense-monitor state (and therefore every future verdict)
@@ -180,10 +180,13 @@ def _snapshot_name(key: str) -> str:
 
 
 class WorkerStore:
-    """One worker's durable state: shard logs + snapshots under a data dir.
+    """One worker's durable state: event logs + snapshots under a data dir.
 
     Layout: ``<data_dir>/worker-<i>/shard-<j>.log`` and
-    ``<data_dir>/worker-<i>/snapshots/<hash>.snap``.  Appends go through
+    ``<data_dir>/worker-<i>/snapshots/<hash>.snap``.  The server appends
+    every record to ``shard-0.log``; a data directory may also hold
+    ``shard-1.log`` …, and recovery reads every one of them
+    (:func:`scan_records`).  Appends go through
     a buffered file flushed per record (a killed process loses nothing)
     and ``fsync``-ed every ``fsync_every`` records (bounding what a
     crashed host can lose), with the fsync wall time observed in the
@@ -221,7 +224,7 @@ class WorkerStore:
         )
         self._g_logs = registry.gauge(
             "repro_durability_open_logs",
-            help="shard log files this process holds open",
+            help="event-log files this process holds open",
         )
         self._h_fsync = registry.histogram(
             "repro_durability_fsync_seconds",
@@ -231,7 +234,7 @@ class WorkerStore:
     # -- log appends ---------------------------------------------------------
 
     def append(self, shard: int, record: bytes) -> None:
-        """Append one encoded record to a shard's log; flush immediately."""
+        """Append one encoded record to ``shard-<shard>.log``; flush now."""
         fh = self._files.get(shard)
         if fh is None:
             fh = open(self.root / f"shard-{shard}.log", "ab")
@@ -255,7 +258,7 @@ class WorkerStore:
         self._unsynced[shard] = 0
 
     def sync(self) -> None:
-        """fsync every open shard log (clean-shutdown and snapshot barrier)."""
+        """fsync every open log (clean-shutdown and snapshot barrier)."""
         for shard, fh in self._files.items():
             if self._unsynced.get(shard):
                 self._fsync(shard, fh)
@@ -285,9 +288,9 @@ class WorkerStore:
 def scan_records(data_dir: str | Path, key: str) -> list[Record]:
     """Every record for ``key`` across all worker dirs, sorted by lsn.
 
-    A reconnect may land a session on a different worker (and a
-    restarted worker may hash its events to different shards), so one
-    key's records can be spread over many files; ``lsn`` is monotonic
+    A reconnect may land a session on a different worker, and one
+    worker's records may be spread over several ``shard-*.log`` files,
+    so one key's records can be spread over many files; ``lsn`` is monotonic
     per key across its whole life, so the sort alone rebuilds the total
     order.
     """

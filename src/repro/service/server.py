@@ -2,17 +2,15 @@
 
 Each connection is one session — an event stream checked online against
 one registered specification (the paper's soundness condition
-``h/α(Γ) ∈ T(Γ)`` per connection).  Events of a single-callee spec are
-routed to the shard pool by callee, so one session's independent objects
-check in parallel while per-object order is preserved; a *coupled* spec
-(alphabet addressing several callees — see
-:func:`~repro.service.registry._coupled_callees`) pins each session to
-one shard, preserving cross-callee order while different sessions still
-spread over the pool.  The first violation (smallest session-global
-index among the shard monitors) is what ``STATUS`` reports.
+``h/α(Γ) ∈ T(Γ)`` per connection).  Each session owns one monitor, and
+the connection handler steps it inline, in arrival order, before it
+reads the next input — so a reply-bearing verb always sees every event
+sent before it, and backpressure is TCP flow control.  Composition
+``Γ‖Δ`` is the offline checker's job; the server never splits a
+session's stream.  Parallelism comes from processes
+(:mod:`~repro.service.topology`), not from tasks on this loop.
 
-The server is single-loop: shard workers are tasks, not threads, so
-monitor state and metrics need no locks.
+The server is single-loop, so monitor state and metrics need no locks.
 """
 
 from __future__ import annotations
@@ -37,26 +35,17 @@ from repro.service.protocol import (
     parse_hello,
 )
 from repro.service.registry import CompiledSpec, SpecRegistry
-from repro.service.shards import DEFAULT_QUEUE_SIZE, BatchTask, ShardPool
 
 __all__ = ["MonitorServer"]
 
-#: Router key pinning a coupled spec's session to one shard.  The NUL
-#: byte cannot occur in an object name parsed off the wire, so the key
-#: never collides with a real callee.
-_COUPLED_KEY = "\x00session"
-
 
 class _Session:
-    """Per-connection state: bound spec, per-shard monitors, counters."""
+    """Per-connection state: bound spec, its monitor, counters."""
 
     __slots__ = (
-        "seq",
-        "router",
         "proto",
         "compiled",
-        "monitors",
-        "touched",
+        "monitor",
         "events",
         "skipped",
         "errors",
@@ -68,13 +57,10 @@ class _Session:
         "restored_violation",
     )
 
-    def __init__(self, seq: int, router) -> None:
-        self.seq = seq
-        self.router = router
+    def __init__(self) -> None:
         self.proto = 1
         self.compiled: CompiledSpec | None = None
-        self.monitors: dict[int, SpecMonitor] = {}
-        self.touched: set[int] = set()
+        self.monitor: SpecMonitor | None = None
         self.events = 0
         self.skipped = 0
         self.errors = 0
@@ -93,29 +79,9 @@ class _Session:
         self.since_snapshot = 0
         self.restored_violation: tuple[int, str] | None = None
 
-    def shard_for(self, callee_name: str) -> int:
-        """The shard an event routes to, honouring the session's proto.
-
-        A binary (proto>=2) session is pinned whole to one shard — batch
-        stepping interleaves with out-of-table fallback events, and the
-        relative order of the two streams is only preserved when both
-        land on the same FIFO (DESIGN.md §13).  Coupled specs pin in
-        every proto, as before, and so do durable sessions: replay
-        applies the log in lsn order, which is only the order the
-        monitor saw when the whole session drained through one FIFO.
-        """
-        if (
-            self.proto >= 2
-            or self.key is not None
-            or (self.compiled is not None and self.compiled.coupled)
-        ):
-            return self.router.shard_of(_COUPLED_KEY)
-        return self.router.shard_of(callee_name)
-
     def reset(self) -> None:
-        for monitor in self.monitors.values():
-            monitor.reset()
-        self.touched.clear()
+        if self.monitor is not None:
+            self.monitor.reset()
         self.events = 0
         self.skipped = 0
         self.errors = 0
@@ -143,13 +109,12 @@ class _Session:
 
 
 class MonitorServer:
-    """The monitoring service: registry + shard pool + metrics + TCP front."""
+    """The monitoring service: registry + per-session monitors + TCP front."""
 
     def __init__(
         self,
         registry: SpecRegistry,
         *,
-        shards: int = 4,
         host: str = "127.0.0.1",
         port: int = 0,
         metrics: ServiceMetrics | None = None,
@@ -157,7 +122,6 @@ class MonitorServer:
         metrics_out=None,
         metrics_port: int | None = None,
         direct_port: int | None = None,
-        queue_size: int = DEFAULT_QUEUE_SIZE,
         max_proto: int = wire.WIRE_VERSION,
         data_dir: str | Path | None = None,
         worker_id: int = 0,
@@ -169,7 +133,6 @@ class MonitorServer:
         listen: bool = True,
     ) -> None:
         self.registry = registry
-        self.pool = ShardPool(shards, queue_size=queue_size)
         #: Durable-session support: with a data directory the server
         #: write-ahead logs every input of a keyed session and replays
         #: the log on the session's next attach (same or later process).
@@ -205,7 +168,6 @@ class MonitorServer:
         self.port = port
         self._requested_port = port
         self._server: asyncio.AbstractServer | None = None
-        self._session_seq = 0
         self._conn_tasks: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
         self._dump_task: asyncio.Task | None = None
@@ -227,12 +189,11 @@ class MonitorServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and start the shard workers.
+        """Bind the socket(s) and start the background tasks.
 
         With ``port=0`` the OS picks an ephemeral port; :attr:`port` holds
         the actual one afterwards (tests and benchmarks rely on this).
         """
-        await self.pool.start()
         if not self._listen:
             pass  # handoff worker: connections arrive by file descriptor
         elif self._sock is not None:
@@ -298,14 +259,12 @@ class MonitorServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Sever live connections and let their handlers finish (they
-        # drain through the still-running pool, durable sessions write a
-        # farewell snapshot) *before* the shard workers go away.
+        # Sever live connections and let their handlers finish (durable
+        # sessions write a farewell snapshot) before the log closes.
         for conn_writer in list(self._conn_writers):
             conn_writer.close()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        await self.pool.stop()
         if self._store is not None:
             self._store.close()
 
@@ -326,14 +285,7 @@ class MonitorServer:
         if task is not None:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
-        self._session_seq += 1
-        # Sessions are independent trace universes, so only per-callee
-        # order *within* a session must be preserved — the seq-number
-        # prefix spreads sessions over the workers even when every
-        # session's spec talks to the same objects.
-        session = _Session(
-            self._session_seq, self.pool.router(prefix=f"{self._session_seq}:")
-        )
+        session = _Session()
         try:
             while True:
                 raw = await reader.readline()
@@ -348,7 +300,7 @@ class MonitorServer:
                     await self._reply(writer, f"ERR {exc}")
                     continue
                 if command.verb == "EVENT":
-                    await self._handle_event(session, command.arg)
+                    self._handle_event(session, command.arg)
                     continue
                 if command.verb == "UPDATE":
                     # Handled here, not in _handle_sync: the lines=<n>
@@ -376,7 +328,7 @@ class MonitorServer:
                 self._conn_tasks.discard(task)
             if self._durable(session):
                 try:
-                    await self._snapshot_session(session)
+                    self._snapshot_session(session)
                 except Exception:
                     pass  # the log already has everything; replay covers it
             writer.close()
@@ -444,8 +396,10 @@ class MonitorServer:
         record = durability.encode_record(
             opcode, session.key, session.lsn, session.received, body
         )
-        shard = session.router.shard_of(_COUPLED_KEY)
-        self._store.append(shard, record)
+        # One log per worker process: every session appends to shard 0
+        # (older data directories may hold shard-1.log … too; recovery
+        # scans them all).
+        self._store.append(0, record)
         session.lsn += 1
         session.received += inputs
         session.since_snapshot += inputs
@@ -458,8 +412,7 @@ class MonitorServer:
         instead, which is always correct, just slower.
         """
         monitor_state = None
-        shard = session.router.shard_of(_COUPLED_KEY)
-        monitor = session.monitors.get(shard)
+        monitor = session.monitor
         if monitor is not None:
             if monitor.alive and monitor._dstate is None:
                 return None
@@ -487,15 +440,14 @@ class MonitorServer:
             "monitor": monitor_state,
         }
 
-    async def _snapshot_session(self, session: _Session) -> None:
+    def _snapshot_session(self, session: _Session) -> None:
         """Checkpoint a durable session so recovery can skip log prefix.
 
-        Order matters: flush the shard (the monitor must have applied
-        everything the snapshot claims), fsync the log (a snapshot must
-        never cover records that could still be lost), then write.
+        The monitor has already applied everything the snapshot claims
+        (stepping is inline); fsync the log first — a snapshot must never
+        cover records that could still be lost — then write.
         """
         session.since_snapshot = 0
-        await self.pool.flush(session.touched)
         self._store.sync()
         payload = self._snapshot_payload(session)
         if payload is not None:
@@ -512,20 +464,16 @@ class MonitorServer:
         session.skipped = recovered.skipped
         session.errors = recovered.errors
         session.compiled = recovered.compiled
-        session.monitors = {}
+        session.monitor = recovered.monitor
         session.violation = None
         session.restored_violation = None
-        if recovered.monitor is not None:
-            shard = session.router.shard_of(_COUPLED_KEY)
-            session.monitors[shard] = recovered.monitor
-            session.touched.add(shard)
         if recovered.violation_index is not None:
             session.restored_violation = (
                 recovered.violation_index,
                 recovered.violation_line or "",
             )
 
-    async def _bind_session(
+    def _bind_session(
         self, session: _Session, compiled: CompiledSpec
     ) -> int | None:
         """Bind (or durable re-attach) a spec; the ``applied=`` watermark.
@@ -537,7 +485,6 @@ class MonitorServer:
         a bind to a *different* spec starts over (logged as REC_BIND, the
         input watermark still monotonic).
         """
-        await self.pool.flush(session.touched)
         durable = self._durable(session)
         if (
             durable
@@ -547,7 +494,7 @@ class MonitorServer:
             return session.received
         session.reset()
         session.compiled = compiled
-        session.monitors = {}
+        session.monitor = None
         if durable:
             self._append_record(
                 session,
@@ -604,11 +551,17 @@ class MonitorServer:
                 # Recover before the reply: ``durable=1`` promises the
                 # log is attached, so the watermark must already be
                 # loaded when the client's SPEC asks for ``applied=``.
+                # A failed recovery leaves the session plain, so the
+                # connection's close writes no snapshot over the key's.
+                try:
+                    recovered = durability.recover(
+                        self.data_dir, key, self.registry
+                    )
+                except ReproError as exc:
+                    await self._reply(writer, f"ERR {exc}")
+                    return False
                 session.key = key
-                self._install_recovery(
-                    session,
-                    durability.recover(self.data_dir, key, self.registry),
-                )
+                self._install_recovery(session, recovered)
                 durable = " durable=1"
             names = ",".join(self.registry.names())
             await self._reply(
@@ -625,22 +578,16 @@ class MonitorServer:
             except ReproError as exc:
                 await self._reply(writer, f"ERR {exc}")
                 return False
-            applied = await self._bind_session(session, compiled)
+            applied = self._bind_session(session, compiled)
             suffix = "" if applied is None else f" applied={applied}"
-            await self._reply(
-                writer,
-                f"OK spec {compiled.name} shards={self.pool.shards}{suffix}",
-            )
+            await self._reply(writer, f"OK spec {compiled.name}{suffix}")
             return False
         if command.verb == "STATUS":
-            await self.pool.flush(session.touched)
             await self._reply(writer, format_status(session.status()))
             return False
         if command.verb == "METRICS":
-            # Flush first so counters include every event already fed on
-            # this session, then frame the multi-line Prometheus dump with
-            # an up-front line count.
-            await self.pool.flush(session.touched)
+            # Frame the multi-line Prometheus dump with an up-front line
+            # count.
             text = get_registry().format_prometheus()
             lines = text.splitlines()
             await self._reply(writer, f"OK metrics lines={len(lines)}")
@@ -648,16 +595,14 @@ class MonitorServer:
                 await self._reply(writer, line)
             return False
         if command.verb == "RESET":
-            await self.pool.flush(session.touched)
             if self._durable(session):
                 self._append_record(session, durability.REC_RESET, b"", 0)
             session.reset()
             await self._reply(writer, "OK reset")
             return False
         if command.verb == "BYE":
-            await self.pool.flush(session.touched)
             if self._durable(session):
-                await self._snapshot_session(session)
+                self._snapshot_session(session)
             await self._reply(writer, f"OK bye events={session.events}")
             return True
         raise AssertionError(f"unhandled verb {command.verb}")  # pragma: no cover
@@ -822,10 +767,10 @@ class MonitorServer:
     ) -> bool:
         """Dispatch one request frame; returns True when the session ends."""
         if opcode == wire.OP_EVENTS:
-            await self._handle_events(session, payload)
+            self._handle_events(session, payload)
             return False
         if opcode == wire.OP_EVENT:
-            await self._handle_event(
+            self._handle_event(
                 session, payload.decode("utf-8", errors="replace")
             )
             return False
@@ -836,16 +781,13 @@ class MonitorServer:
             except ReproError as exc:
                 await self._send_frame(writer, wire.OP_ERR, str(exc).encode())
                 return False
-            applied = await self._bind_session(session, compiled)
+            applied = self._bind_session(session, compiled)
             # A durable re-attach keeps the recovered pinned build; sync
             # the letter table of *that* build, not a post-swap one.
             compiled = session.compiled
             suffix = "" if applied is None else f" applied={applied}"
             count = len(self.registry.letter_lines(compiled.name))
-            detail = (
-                f"spec {compiled.name} shards={self.pool.shards}"
-                f"{suffix} letters={count}"
-            )
+            detail = f"spec {compiled.name}{suffix} letters={count}"
             # The OK reply and the letter table travel back to back: the
             # client knows from ``letters=<k>`` (k > 0) that exactly one
             # OP_LETTERS frame follows before any other reply.
@@ -880,27 +822,23 @@ class MonitorServer:
             await self._send_frame(writer, wire.OP_OK, detail.encode())
             return False
         if opcode == wire.OP_STATUS:
-            await self.pool.flush(session.touched)
             await self._send_status_frame(writer, session)
             return False
         if opcode == wire.OP_METRICS:
-            await self.pool.flush(session.touched)
             text = get_registry().format_prometheus()
             await self._send_frame(
                 writer, wire.OP_OK, b"metrics\n" + text.encode("utf-8")
             )
             return False
         if opcode == wire.OP_RESET:
-            await self.pool.flush(session.touched)
             if self._durable(session):
                 self._append_record(session, durability.REC_RESET, b"", 0)
             session.reset()
             await self._send_frame(writer, wire.OP_OK, b"reset")
             return False
         if opcode == wire.OP_BYE:
-            await self.pool.flush(session.touched)
             if self._durable(session):
-                await self._snapshot_session(session)
+                self._snapshot_session(session)
             await self._send_frame(
                 writer, wire.OP_OK, f"bye events={session.events}".encode()
             )
@@ -922,17 +860,28 @@ class MonitorServer:
         op = wire.OP_OK if keyword == "OK" else wire.OP_VIOLATION
         await self._send_frame(writer, op, detail.encode("utf-8"))
 
-    async def _handle_events(self, session: _Session, payload: bytes) -> None:
-        """Feed one ``EVENTS`` batch: silent on success, like text ``EVENT``.
+    def _monitor(self, session: _Session) -> SpecMonitor:
+        """The session's monitor, created on its first event.
+
+        Pinned to the session's ``CompiledSpec``, not a name lookup: a
+        concurrent hot swap must not mix machines mid-session.
+        """
+        monitor = session.monitor
+        if monitor is None:
+            monitor = self.registry.new_monitor_for(session.compiled)
+            session.monitor = monitor
+        return monitor
+
+    def _handle_events(self, session: _Session, payload: bytes) -> None:
+        """Step one ``EVENTS`` batch: silent on success, like text ``EVENT``.
 
         A structurally malformed payload raises
         :class:`~repro.service.wire.FrameError` (the loop answers with an
         ``ERR`` frame); ids outside the letter table are dropped and
         counted as errors per id, so valid events keep consecutive
         session-global indices exactly as if the bad ids had been
-        malformed text lines.  The whole batch becomes *one* shard-queue
-        unit and one monitor call — the amortisation the binary protocol
-        exists for.
+        malformed text lines.  The whole batch is one monitor call — the
+        amortisation the binary protocol exists for.
         """
         ids = wire.unpack_event_ids(payload)
         n = len(ids)
@@ -943,7 +892,7 @@ class MonitorServer:
             # re-runs the identical validation, so dropped/invalid ids
             # are re-counted as errors exactly as they were live.
             if session.since_snapshot >= self.snapshot_every:
-                await self._snapshot_session(session)
+                self._snapshot_session(session)
             self._append_record(session, durability.REC_IDS, payload, n)
         compiled = session.compiled
         if compiled is None or compiled.dense is None:
@@ -965,38 +914,20 @@ class MonitorServer:
                 return
         base = session.events
         session.events += n
-        # EVENTS exists only on binary sessions, which are always pinned
-        # (see _Session.shard_for) — route on the pinned key directly.
-        shard = session.router.shard_of(_COUPLED_KEY)
-        monitor = session.monitors.get(shard)
-        if monitor is None:
-            # Pin to the session's CompiledSpec, not a name lookup: a
-            # concurrent hot swap must not mix machines mid-session.
-            monitor = self.registry.new_monitor_for(compiled)
-            session.monitors[shard] = monitor
-        session.touched.add(shard)
-        spec_name = compiled.name
+        monitor = self._monitor(session)
         metrics = self.metrics
+        with span("service.batch", spec=compiled.name, events=n):
+            start = metrics.clock()
+            was_ok = not monitor.violations
+            monitor.observe_ids(ids, base_index=base)
+            metrics.record_batch(compiled.name, n, metrics.clock() - start)
+        if was_ok and monitor.violations:
+            # Safety is irremediable: a monitor violates at most once.
+            metrics.record_violation()
+            session.violation = monitor.violations[0]
 
-        def check() -> None:
-            with span("service.batch", spec=spec_name, events=n):
-                start = metrics.clock()
-                was_ok = not monitor.violations
-                monitor.observe_ids(ids, base_index=base)
-                metrics.record_batch(spec_name, n, metrics.clock() - start)
-                if was_ok and monitor.violations:
-                    metrics.record_violation()
-                    violation = monitor.violations[-1]
-                    if (
-                        session.violation is None
-                        or violation.index < session.violation.index
-                    ):
-                        session.violation = violation
-
-        await self.pool.submit_to(shard, BatchTask(check, n))
-
-    async def _handle_event(self, session: _Session, arg: str) -> None:
-        """Feed one event: silent on success, counted on failure.
+    def _handle_event(self, session: _Session, arg: str) -> None:
+        """Step one event: silent on success, counted on failure.
 
         Problems never elicit a reply (events pipeline without per-event
         round-trips); they are surfaced by the next synchronising verb.
@@ -1006,7 +937,7 @@ class MonitorServer:
             # The snapshot check runs first so the checkpoint covers
             # exactly the records before this one, all already applied.
             if session.since_snapshot >= self.snapshot_every:
-                await self._snapshot_session(session)
+                self._snapshot_session(session)
             self._append_record(
                 session, durability.REC_LINE, arg.encode("utf-8"), 1
             )
@@ -1024,34 +955,18 @@ class MonitorServer:
             return
         index = session.events
         session.events += 1
-        # The session router resolves (session, callee) → shard with the
-        # key formatting and CRC paid once per distinct callee.  Coupled
-        # specs constrain the order *across* callees, and binary sessions
-        # interleave batches with fallback events, so both route on one
-        # constant key instead of splitting per callee.
-        shard = session.shard_for(event.callee.name)
-        monitor = session.monitors.get(shard)
-        if monitor is None:
-            # Pinned like the batch path: sessions drain on the machine
-            # they bound even while an UPDATE swaps the registry entry.
-            monitor = self.registry.new_monitor_for(session.compiled)
-            session.monitors[shard] = monitor
-        session.touched.add(shard)
-        spec_name = session.compiled.name
+        monitor = self._monitor(session)
         metrics = self.metrics
-
-        def check() -> None:
-            start = metrics.clock()
-            skipped = not monitor.spec.alphabet.contains(event)
-            was_ok = not monitor.violations
-            monitor.observe(event, index=index)
-            metrics.record_event(spec_name, metrics.clock() - start, skipped=skipped)
-            if skipped:
-                session.skipped += 1
-            if was_ok and monitor.violations:
-                metrics.record_violation()
-                violation = monitor.violations[-1]
-                if session.violation is None or violation.index < session.violation.index:
-                    session.violation = violation
-
-        await self.pool.submit_to(shard, check)
+        start = metrics.clock()
+        skipped = not monitor.spec.alphabet.contains(event)
+        was_ok = not monitor.violations
+        monitor.observe(event, index=index)
+        metrics.record_event(
+            session.compiled.name, metrics.clock() - start, skipped=skipped
+        )
+        if skipped:
+            session.skipped += 1
+        if was_ok and monitor.violations:
+            # Safety is irremediable: a monitor violates at most once.
+            metrics.record_violation()
+            session.violation = monitor.violations[0]

@@ -1,23 +1,18 @@
-"""Sharded monitor workers: parallel checking with per-callee order.
+"""A per-key FIFO worker pool on one asyncio loop (benchmark probe only).
 
-Events are routed to one of ``n`` workers by a *stable* hash of the
-callee :class:`~repro.core.values.ObjectId` (CRC-32 of the name — Python's
-``hash`` is salted per process and would re-shard on restart).  Each
-worker drains its own FIFO queue, so:
+No code in ``repro`` uses this module: the server steps each session's
+monitor inline in the connection handler (DESIGN.md §7.2), because workers that
+are tasks on the connection's own loop give no CPU parallelism.  The
+module survives only for the repository benchmark's ``--trace 1`` probe
+(``perfbench/layers.py``), which times :meth:`ShardPool.submit_to` as
+``shards.submit_us_per_task``; the benchmark change that retires that
+metric deletes this module.
 
-* all events with the same callee are checked in arrival order (the
-  paper's per-object projection ``h/o`` is order-preserving), while
-* events on distinct callees check in parallel, exactly as ``Γ‖Δ``
-  composes trace sets over interleaved streams.
-
-The pool is workload-agnostic: it executes submitted thunks. Sessions
-submit "feed event to my monitor for this shard" closures and use
-:meth:`ShardPool.flush` as a barrier before reporting status.
-
-A :class:`ShardRouter` memoises the callee → shard mapping for one event
-stream: the key formatting and CRC run once per *distinct* callee instead
-of once per event, which matters on the server's hot path where a session
-streams thousands of events at a handful of objects.
+Events are routed to one of ``n`` workers by a *stable* hash of a key
+(CRC-32 of the name — Python's ``hash`` is salted per process).  Each
+worker drains its own FIFO queue, so items with the same key run in
+submission order; :meth:`ShardPool.flush` is a barrier.  A
+:class:`ShardRouter` memoises the key → shard mapping for one stream.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from typing import Callable, Iterable
 
 from repro.obs.registry import get_registry
 
-__all__ = ["shard_index", "BatchTask", "ShardPool", "ShardRouter"]
+__all__ = ["shard_index", "ShardPool", "ShardRouter"]
 
 DEFAULT_QUEUE_SIZE = 1024
 
@@ -48,22 +43,6 @@ class _Flush:
     """Queue sentinel: resolves its future once the worker reaches it."""
 
     future: asyncio.Future
-
-
-@dataclass(slots=True)
-class BatchTask:
-    """One queue unit carrying a whole batch of ``size`` events.
-
-    The binary protocol's ``EVENTS`` verb submits one of these per frame
-    instead of one thunk per event, so queue traffic (put/get, task_done,
-    backpressure checks) is paid once per batch.  Workers account the
-    carried event count separately from the task count — the ratio of
-    ``repro_shard_batched_events_total`` to ``repro_shard_tasks_total``
-    is the realised amortisation factor.
-    """
-
-    thunk: Callable[[], None]
-    size: int
 
 
 class ShardPool:
@@ -87,10 +66,6 @@ class ShardPool:
             "repro_shard_task_errors_total",
             help="Shard thunks that raised (the worker survives).",
         )
-        self._c_batched = registry.counter(
-            "repro_shard_batched_events_total",
-            help="Events carried by BatchTask queue units.",
-        )
 
     def shard_of(self, callee_name: str) -> int:
         return shard_index(callee_name, self.shards)
@@ -113,16 +88,12 @@ class ShardPool:
                     if not item.future.done():
                         item.future.set_result(None)
                     continue
-                if isinstance(item, BatchTask):
-                    self._c_batched.inc(item.size)
-                    item = item.thunk
                 self.tasks_run += 1
                 self._c_tasks.inc()
                 try:
                     item()
                 except Exception:
-                    # a failing thunk must not kill the shard; sessions
-                    # account their own errors inside the thunk
+                    # a failing thunk must not kill the shard
                     self.task_errors += 1
                     self._c_errors.inc()
             finally:
@@ -174,10 +145,9 @@ class ShardPool:
 class ShardRouter:
     """Memoised callee → shard routing for one event stream.
 
-    ``prefix`` is the stream's namespace (the server uses the session
-    sequence number): independent sessions spread across the workers even
-    when every session's spec talks to the same object names, while the
-    mapping for one stream stays stable across the stream's lifetime.
+    ``prefix`` is the stream's namespace: independent streams spread
+    across the workers even when they talk to the same object names,
+    while the mapping for one stream stays stable across its lifetime.
     """
 
     __slots__ = ("pool", "prefix", "_shards", "_c_routed")
@@ -198,12 +168,6 @@ class ShardRouter:
                 self.prefix + callee_name, self.pool.shards
             )
             self._c_routed.inc()
-        return shard
-
-    async def submit(self, callee_name: str, thunk: Callable[[], None]) -> int:
-        """Enqueue on the callee's shard; returns the shard index."""
-        shard = self.shard_of(callee_name)
-        await self.pool.submit_to(shard, thunk)
         return shard
 
     def __repr__(self) -> str:

@@ -1,7 +1,7 @@
 """Multi-process serving topology: listener/router + monitor workers.
 
 One :class:`~repro.service.server.MonitorServer` is a single asyncio
-process — shard workers are tasks, so one core bounds it.  This module
+process, so one core bounds it.  This module
 scales that design out to N worker *processes*, each running its own
 ``MonitorServer`` over its own slice of a shared data directory
 (``data-dir/worker-<i>/`` — see :mod:`~repro.service.durability`), behind
@@ -23,14 +23,11 @@ Two listener modes, picked per platform:
     worker's pipe (``multiprocessing.reduction.send_handle``).  Slower
     per accept, but works without ``SO_REUSEPORT``.
 
-Either way the routing *invariant* of PR 6 is *per worker*: inside a
-process the shard pool still routes (session, callee) keys and pins
-coupled callees whole-session.  Across processes a session lives
-wholly on one worker (a TCP connection lands exactly once), so the
-invariant scales out unchanged.  Durable session keys do not need
-sticky routing: recovery scans every worker's log directory, so a
-resumed session replays its history no matter which worker the
-reconnect lands on.
+Either way a session lives wholly on one worker (a TCP connection lands
+exactly once), where one monitor steps it in arrival order.  Durable
+session keys do not need sticky routing: recovery scans every worker's
+log directory, so a resumed session replays its history no matter which
+worker the reconnect lands on.
 
 A supervisor task respawns dead workers with their original index —
 same ``worker-<i>/`` directory — which is what makes SIGKILL an event
@@ -100,7 +97,6 @@ class WorkerConfig:
     port: int  # concrete port (reuseport workers bind it themselves)
     scenario: str | None = None
     document: str | None = None
-    shards: int = 4
     history_limit: int | None = 4096
     data_dir: str | None = None
     max_proto: int = 2
@@ -165,7 +161,6 @@ async def _worker_main(config: WorkerConfig, conn) -> None:
         sock.setblocking(False)
     server = MonitorServer(
         registry,
-        shards=config.shards,
         host=config.host,
         data_dir=config.data_dir,
         worker_id=config.worker_index,
@@ -211,7 +206,6 @@ class ScaleOutServer:
         scenario: str | None = None,
         document: str | None = None,
         procs: int = 2,
-        shards: int = 4,
         host: str = "127.0.0.1",
         port: int = 0,
         data_dir: str | Path | None = None,
@@ -246,7 +240,6 @@ class ScaleOutServer:
             port=port,
             scenario=scenario,
             document=document,
-            shards=shards,
             history_limit=history_limit,
             data_dir=str(data_dir) if data_dir is not None else None,
             max_proto=max_proto,

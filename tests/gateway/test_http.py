@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from repro.service import SpecRegistry
+from repro.service.durability import REC_LINE, WorkerStore
+from repro.service.wire import encode_frame
 
 from tests.gateway.conftest import (
     DOC,
@@ -119,6 +121,26 @@ class TestSessions:
                 "POST", "/v1/sessions/d1/events", {"event": EVENT}
             )
             assert body["applied"] == 4
+
+    def test_failed_durable_recovery_is_an_error_envelope(self, tmp_path):
+        store = WorkerStore(tmp_path)
+        store.append(0, encode_frame(REC_LINE, b"xx"))
+        store.close()
+        with live_gateway(
+            SpecRegistry.from_text(DOC),
+            server_kwargs={"data_dir": tmp_path},
+        ) as (api, _gw):
+            status, body = api.request(
+                "POST",
+                "/v1/sessions/d1/events",
+                {"spec": "A", "event": EVENT, "durable": True},
+            )
+            assert status == 400
+            assert body["error"]["kind"] == "ReproError"
+            assert "prefix" in body["error"]["message"]
+            # no session was opened on the failed HELLO
+            status, _ = api.request("GET", "/v1/sessions/d1")
+            assert status == 404
 
     def test_plain_session_has_null_applied(self):
         with live_gateway(SpecRegistry.from_text(DOC)) as (api, _gw):

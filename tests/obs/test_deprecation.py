@@ -1,110 +1,9 @@
-"""Legacy import paths: per-name forwarding shims and removal stubs."""
+"""Deprecated surfaces that still warn: the ``DFA.transitions`` dict shim."""
 
-import importlib
 import warnings
 
-import pytest
-
 import repro.automata.dfa as dfa_mod
-import repro.automata.stats as legacy_stats
 from repro.automata.dfa import DFA
-from repro.obs import compat
-
-
-def access_fresh(module, name):
-    """Access a shim attribute twice with its once-per-process latch reset."""
-    compat._WARNED.discard((module.__name__, name))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = getattr(module, name)
-        second = getattr(module, name)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    return first, second, deprecations
-
-
-LEGACY = [
-    (legacy_stats, "ExplorationStats", "repro.obs.exploration"),
-    (legacy_stats, "collect_exploration", "repro.obs.exploration"),
-    (legacy_stats, "active_exploration_stats", "repro.obs.exploration"),
-]
-
-
-class TestLegacyShims:
-    @pytest.mark.parametrize(
-        "module, name, target", LEGACY, ids=[n for _, n, _ in LEGACY]
-    )
-    def test_warns_once_and_resolves_to_obs(self, module, name, target):
-        first, second, deprecations = access_fresh(module, name)
-        assert first is second
-        assert first is getattr(importlib.import_module(target), name)
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert f"{module.__name__}.{name}" in message
-        assert target in message
-
-    def test_second_process_lifetime_access_is_silent(self):
-        access_fresh(legacy_stats, "ExplorationStats")  # latch now set
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy_stats.ExplorationStats
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            legacy_stats.NoSuchThing
-
-    def test_shims_declare_their_surface(self):
-        assert set(legacy_stats.__all__) == {
-            "ExplorationStats",
-            "collect_exploration",
-            "active_exploration_stats",
-        }
-
-
-class TestRemovedMetricsModule:
-    """``repro.service.metrics`` finished its forwarding release.
-
-    The stub now warns once per process *at import time* and resolves
-    no names at all — old call sites fail loudly with a pointer at
-    ``repro.obs`` instead of silently importing stale classes.
-    """
-
-    def test_import_warns_once_per_process(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.service.metrics as stub
-
-        compat._WARNED.discard(("repro.service.metrics", ""))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stub = importlib.reload(stub)
-            importlib.reload(stub)  # second import in one process: silent
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "repro.service.metrics" in message
-        assert "repro.obs" in message
-
-    @pytest.mark.parametrize(
-        "name",
-        ["ServiceMetrics", "CheckerMetrics", "LatencyHistogram", "Nope"],
-    )
-    def test_every_lookup_raises_and_names_the_new_home(self, name):
-        import repro.service.metrics as stub
-
-        with pytest.raises(AttributeError, match="repro.obs"):
-            getattr(stub, name)
-
-    def test_exports_nothing(self):
-        import repro.service.metrics as stub
-
-        assert stub.__all__ == []
 
 
 class TestDfaTransitionsShim:

@@ -74,7 +74,7 @@ class TestConnect:
 
             async def late_server():
                 await asyncio.sleep(0.1)
-                server = MonitorServer(registry, shards=1, port=port)
+                server = MonitorServer(registry, port=port)
                 await server.start()
                 return server
 
@@ -102,7 +102,7 @@ class TestSending:
         d = DataVal("Data", "d1")
 
         async def run():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
                 ) as client:
@@ -119,7 +119,7 @@ class TestSending:
         registry = SpecRegistry([cast.write()])
 
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write", queue_size=2
                 ) as client:

@@ -70,7 +70,7 @@ class TestRetryAccounting:
 
                 async def late_server():
                     await asyncio.sleep(0.1)
-                    server = MonitorServer(registry_specs, shards=1, port=port)
+                    server = MonitorServer(registry_specs, port=port)
                     await server.start()
                     return server
 
@@ -92,7 +92,7 @@ class TestRetryAccounting:
 
         async def run():
             with use_registry() as registry:
-                async with MonitorServer(registry_specs, shards=1) as server:
+                async with MonitorServer(registry_specs) as server:
                     async with MonitorClient(
                         "127.0.0.1", server.port
                     ) as client:
@@ -203,12 +203,12 @@ class TestBackpressure:
         asyncio.run(run())
 
     def test_slow_reader_throttles_but_loses_nothing(self, cast):
-        # A server whose shard pool is tiny still checks every event the
-        # client pushed through a tiny queue — end-to-end conservation.
+        # The server checks every event the client pushed through a
+        # tiny queue — end-to-end conservation.
         registry = SpecRegistry([cast.write()])
 
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write", queue_size=1
                 ) as client:

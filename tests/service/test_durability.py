@@ -12,6 +12,7 @@ import shutil
 
 import pytest
 
+from repro.core.errors import ReproError
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 from repro.service import durability
 from repro.service.durability import (
@@ -29,6 +30,7 @@ from repro.service.durability import (
     scan_records,
 )
 from repro.service import wire
+from repro.service.protocol import parse_reply
 from repro.workload.generator import FaultSpec, StreamSession
 from repro.workload.scenarios import all_scenarios, get_scenario
 
@@ -307,7 +309,7 @@ class TestReplayLaw:
         async def run():
             # the uninterrupted twin
             async with MonitorServer(
-                registry, shards=2, data_dir=tmp_path / "a"
+                registry, data_dir=tmp_path / "a"
             ) as server:
                 baseline = await _drive(server.port, spec, lines, key)
 
@@ -316,7 +318,7 @@ class TestReplayLaw:
                 data_dir=tmp_path / "b", fsync_every=4, snapshot_every=16
             )
             async with MonitorServer(
-                scenario.registry(), shards=2, **durable
+                scenario.registry(), **durable
             ) as server:
                 await _drive(server.port, spec, lines[:cut], key, status_every=7)
             if wipe_snapshots:
@@ -325,7 +327,7 @@ class TestReplayLaw:
                 for snap_dir in (tmp_path / "b").glob("worker-*/snapshots"):
                     shutil.rmtree(snap_dir)
             async with MonitorServer(
-                scenario.registry(), shards=2, **durable
+                scenario.registry(), **durable
             ) as server:
                 resumed = await _drive(server.port, spec, lines[cut:], key)
             return baseline, resumed
@@ -342,7 +344,7 @@ class TestReplayLaw:
         async def run():
             # uninterrupted control session (plain, no durability)
             async with MonitorServer(
-                SpecRegistry([cast.write()]), shards=2
+                SpecRegistry([cast.write()])
             ) as control_server:
                 async with MonitorClient(
                     "127.0.0.1", control_server.port, spec="Write", proto=proto
@@ -352,7 +354,7 @@ class TestReplayLaw:
                     baseline = await control.status()
 
             server = MonitorServer(
-                registry, shards=2, data_dir=tmp_path / "d", fsync_every=1
+                registry, data_dir=tmp_path / "d", fsync_every=1
             )
             await server.start()
             port = server.port
@@ -370,7 +372,6 @@ class TestReplayLaw:
             # re-attaches the session, and resends the unacked suffix
             server = MonitorServer(
                 SpecRegistry([cast.write()]),
-                shards=2,
                 port=port,
                 data_dir=tmp_path / "d",
                 fsync_every=1,
@@ -396,7 +397,7 @@ class TestReplayLaw:
 
         async def run():
             async with MonitorServer(
-                registry, shards=2, data_dir=tmp_path
+                registry, data_dir=tmp_path
             ) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
@@ -417,3 +418,138 @@ def _with_retries(run, attempts=3):
         except OSError:
             if attempt == attempts - 1:
                 raise
+
+
+# -- recovery failure and older data-directory layouts ------------------------
+
+
+async def _raw_session(port, lines):
+    """Send ``lines`` in one write and read one reply per non-EVENT line."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write("".join(f"{line}\n" for line in lines).encode())
+        await writer.drain()
+        replies = []
+        for line in lines:
+            if not line.startswith("EVENT "):
+                replies.append((await reader.readline()).decode().strip())
+        return replies
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class TestRecoveryFailure:
+    def test_failed_recovery_replies_err_and_keeps_the_snapshot(self, tmp_path):
+        # A scenario spec: its concrete letter table keeps the monitor on
+        # the dense array, so the session's BYE writes a snapshot.
+        scenario, registry, lines = _scenario_lines("two_phase_dynamic", 0, 20)
+        spec = scenario.monitored
+        snapshots = tmp_path / "worker-0" / "snapshots"
+
+        async def run():
+            async with MonitorServer(registry, data_dir=tmp_path) as server:
+                await _drive(server.port, spec, lines, "k1")
+                (snap,) = snapshots.glob("*.snap")
+                before = snap.read_bytes()
+                # A complete record whose payload is shorter than its
+                # 10-byte prefix: corruption, which recovery must refuse.
+                with open(tmp_path / "worker-0" / "shard-0.log", "ab") as log:
+                    log.write(wire.encode_frame(REC_LINE, b"xx"))
+                hello, status = await _raw_session(
+                    server.port, ["HELLO session=k1", "STATUS"]
+                )
+                # the server still serves new connections
+                async with MonitorClient(
+                    "127.0.0.1", server.port, spec=spec
+                ) as plain:
+                    for line in lines:
+                        await plain.send_event(line)
+                    plain_status = await plain.status()
+            return before, snap, hello, status, plain_status
+
+        before, snap, hello, status, plain_status = asyncio.run(run())
+        assert hello.startswith("ERR ")
+        assert "prefix" in hello
+        # the session stayed plain and usable: no durable watermark
+        assert status.startswith("OK status") and "applied=" not in status
+        # no farewell snapshot overwrote the key's checkpoint
+        assert snap.read_bytes() == before
+        assert plain_status.events == len(lines)
+
+    def test_client_raises_instead_of_falling_back_to_plain(
+        self, tmp_path, registry
+    ):
+        store = WorkerStore(tmp_path)
+        store.append(0, wire.encode_frame(REC_LINE, b"xx"))
+        store.close()
+
+        async def run():
+            async with MonitorServer(registry, data_dir=tmp_path) as server:
+                for proto in (1, 2):
+                    client = MonitorClient(
+                        "127.0.0.1", server.port, session="k1", proto=proto
+                    )
+                    with pytest.raises(ReproError, match="prefix") as info:
+                        await client.connect()
+                    assert "k1" in str(info.value)
+                    assert not client.durable
+
+        asyncio.run(run())
+
+
+class TestOlderLayout:
+    """Data directories that spread one worker's records over shard logs."""
+
+    def test_records_on_several_shard_logs_resume_exactly(
+        self, tmp_path, registry
+    ):
+        lines = WRITE_LINES + VIOLATING_LINES
+        cut = 4
+        burst = [f"EVENT {line}" for line in lines[cut:]]
+
+        async def run():
+            async with MonitorServer(registry, data_dir=tmp_path / "a") as server:
+                baseline = await _drive(server.port, "Write", lines, "k")
+
+            # The older layout: the same key's first records spread over
+            # shard-1.log and shard-3.log of one worker.
+            store = WorkerStore(tmp_path / "b")
+            store.append(1, encode_record(REC_BIND, "k", 0, 0, b"Write"))
+            for i, line in enumerate(lines[:cut]):
+                store.append(
+                    1 + 2 * (i % 2),
+                    encode_record(REC_LINE, "k", i + 1, i, line.encode()),
+                )
+            store.close()
+            async with MonitorServer(registry, data_dir=tmp_path / "b") as server:
+                # STATUS right behind a pipelined burst of EVENT lines:
+                # stepping is inline, so it counts every one of them.
+                replies = await _raw_session(
+                    server.port,
+                    ["HELLO session=k", "SPEC Write", *burst, "STATUS", "BYE"],
+                )
+            return baseline, replies
+
+        baseline, (hello, spec, status, bye) = asyncio.run(run())
+        assert "durable=1" in hello
+        assert spec == f"OK spec Write applied={cut}"
+        resumed = parse_reply(status).status
+        assert _verdict(resumed) == _verdict(baseline)
+        assert resumed.events == len(lines)
+        assert bye == f"OK bye events={len(lines)}"
+
+        logs = sorted(p.name for p in (tmp_path / "b").glob("worker-0/*.log"))
+        assert logs == ["shard-0.log", "shard-1.log", "shard-3.log"]
+        # Pure log replay across all three logs equals the uninterrupted
+        # run's recovery: counters and the first-violation index.
+        for root in (tmp_path / "a", tmp_path / "b"):
+            for snap_dir in root.glob("worker-*/snapshots"):
+                shutil.rmtree(snap_dir)
+        expected = recover(tmp_path / "a", "k", registry)
+        got = recover(tmp_path / "b", "k", registry)
+        fields = ("events", "skipped", "errors", "received", "violation_index")
+        assert [getattr(got, f) for f in fields] == [
+            getattr(expected, f) for f in fields
+        ]
+        assert got.violation_index == len(WRITE_LINES) + VIOLATION_INDEX

@@ -33,7 +33,7 @@ class TestMetricsVerb:
         async def run() -> str:
             with use_registry():
                 registry = SpecRegistry([cast.write(), cast.read2()])
-                async with MonitorServer(registry, shards=2) as server:
+                async with MonitorServer(registry) as server:
                     async with MonitorClient(
                         "127.0.0.1", server.port, spec="Write"
                     ) as client:
@@ -46,15 +46,10 @@ class TestMetricsVerb:
         assert "# TYPE" in text
         samples = parse_prometheus(text)
 
-        # monitor layer: every event of the session is accounted for
+        # monitor layer: every event of the session is accounted for —
+        # stepped inline before METRICS was read, with no barrier
         assert samples["repro_monitor_events_total"][""] == len(WRITE_SESSION)
         assert sum(samples["repro_monitor_steps_total"].values()) > 0
-
-        # shard layer: the session's callee was routed to a shard
-        assert sum(samples["repro_shard_routed_callees_total"].values()) >= 1
-        assert sum(samples["repro_shard_tasks_total"].values()) >= len(
-            WRITE_SESSION
-        )
 
         # registry layer: interned-machine gauges are present and non-zero
         assert samples["repro_interned_machines"][""] >= 1
@@ -77,7 +72,7 @@ class TestMetricsVerb:
         async def run():
             with use_registry():
                 registry = SpecRegistry([cast.write()])
-                async with MonitorServer(registry, shards=1) as server:
+                async with MonitorServer(registry) as server:
                     async with MonitorClient(
                         "127.0.0.1", server.port, spec="Write"
                     ) as client:
@@ -101,7 +96,7 @@ class TestScrapeEndpoint:
             with use_registry():
                 registry = SpecRegistry([cast.write()])
                 async with MonitorServer(
-                    registry, shards=1, metrics_port=0
+                    registry, metrics_port=0
                 ) as server:
                     assert server.metrics_port not in (None, 0)
                     reader, writer = await asyncio.open_connection(
@@ -131,7 +126,7 @@ class TestScrapeEndpoint:
         async def run():
             with use_registry():
                 registry = SpecRegistry([cast.write()])
-                async with MonitorServer(registry, shards=1) as server:
+                async with MonitorServer(registry) as server:
                     return server.metrics_port
 
         assert asyncio.run(run()) is None

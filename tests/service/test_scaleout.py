@@ -87,7 +87,7 @@ async def _baseline(lines_per_session):
     """The same sessions against one in-process server."""
     registry = SpecRegistry.from_text(DOC)
     out = []
-    async with MonitorServer(registry, shards=2) as server:
+    async with MonitorServer(registry) as server:
         for lines in lines_per_session:
             async with MonitorClient(
                 "127.0.0.1", server.port, spec="Cap"

@@ -61,7 +61,7 @@ async def _session(port: int, spec: str, lines: list[str]) -> SessionStatus:
 class TestEndToEnd:
     def test_concurrent_interleaved_sessions(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=4) as server:
+            async with MonitorServer(registry) as server:
                 writers = [
                     _session(
                         server.port,
@@ -113,27 +113,18 @@ class TestEndToEnd:
             "count"
         ] == total_sent
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_verdicts_independent_of_shard_count(self, registry, shards):
-        async def run():
-            async with MonitorServer(registry, shards=shards) as server:
-                return await _session(server.port, "Write", VIOLATING_SCRIPT)
-
-        status = asyncio.run(run())
-        assert status.violation_index == VIOLATION_INDEX
-
 
 class TestProtocolBehaviour:
     def _roundtrip(self, registry, lines, spec="Write"):
         async def run():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 return await _session(server.port, spec, lines)
 
         return asyncio.run(run())
 
     def test_unknown_spec_rejected(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 client = MonitorClient("127.0.0.1", server.port)
                 await client.connect()
                 with pytest.raises(Exception, match="Nope"):
@@ -151,7 +142,7 @@ class TestProtocolBehaviour:
 
     def test_events_before_spec_are_errors(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 client = MonitorClient("127.0.0.1", server.port)
                 await client.connect()
                 await client.send_event("w1 -> o : OW")
@@ -165,7 +156,7 @@ class TestProtocolBehaviour:
 
     def test_reset_forgets_violation(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
                 ) as client:
@@ -183,7 +174,7 @@ class TestProtocolBehaviour:
 
     def test_rebinding_spec_resets_session(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
                 ) as client:
@@ -198,7 +189,7 @@ class TestProtocolBehaviour:
 
     def test_hello_lists_specs(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient("127.0.0.1", server.port) as client:
                     return client.server_specs
 

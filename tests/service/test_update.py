@@ -105,7 +105,7 @@ class TestUpdateVerb:
     def test_update_document_over_both_framings(self, proto):
         async def run():
             registry = self._registry()
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, proto=proto
                 ) as client:
@@ -124,7 +124,7 @@ class TestUpdateVerb:
 
         async def run():
             registry = self._registry()
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="B"
                 ) as session:
@@ -149,7 +149,7 @@ class TestUpdateVerb:
     def test_scenario_form(self):
         async def run():
             registry = self._registry()
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient("127.0.0.1", server.port) as client:
                     return await client.update_document(
                         scenario="pubsub_fanout"
@@ -161,7 +161,7 @@ class TestUpdateVerb:
     def test_broken_document_is_an_error_and_registry_untouched(self):
         async def run():
             registry = self._registry()
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient("127.0.0.1", server.port) as client:
                     with pytest.raises(ReproError):
                         await client.update_document(text="specification {")
@@ -214,7 +214,7 @@ class TestBinaryUpdateRace:
     def test_batches_drain_pinned_build_and_rebind_resyncs_letters(self):
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="B", proto=2, batch=8
                 ) as session:

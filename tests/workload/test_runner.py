@@ -1,8 +1,8 @@
 """Runner tests: live service verdicts must match the oracle exactly.
 
 These run the full stack — generator → wire format → client queue →
-server shards → dense monitor — hermetically (in-process server on an
-ephemeral port), across shard counts, with and without faults.
+server session → dense monitor — hermetically (in-process server on an
+ephemeral port), with and without faults.
 """
 
 import pytest
@@ -19,10 +19,9 @@ FAULTS = FaultSpec(reorder=0.05, dup=0.05, drop=0.05)
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    @pytest.mark.parametrize("shards", (1, 4))
-    def test_faulted_run_agrees(self, name, shards):
+    def test_faulted_run_agrees(self, name):
         report = run_workload(
-            name, seed=13, faults=FAULTS, sessions=3, events=120, shards=shards
+            name, seed=13, faults=FAULTS, sessions=3, events=120
         )
         assert report.all_agree, report.describe()
         assert report.agreement == 1.0
